@@ -27,13 +27,24 @@
 //   * CoreComponentSweep/n  — fixed 8 workers, n gadgets of fixed
 //                             size: how scaling grows with component
 //                             count.
+//
+// Blank-author nf (sequential, the serving benchmark's write_blank
+// shape):
+//   * CoreBlankAuthors/n/f  — Core(cl(D)) of an SP²Bench-shaped corpus
+//                             of n triples in which f‰ of the minted
+//                             authors are blank: many small components,
+//                             a few dozen folds, and a large ground
+//                             remainder that in-place folding never
+//                             copies.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "gen/generators.h"
+#include "gen/sp2b.h"
 #include "graphtheory/digraph.h"
+#include "inference/closure.h"
 #include "normal/core.h"
 #include "normal/normal_form.h"
 #include "util/rng.h"
@@ -278,6 +289,37 @@ BENCHMARK(BM_CoreComponentSweep)
     ->Arg(1)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
+
+// --- blank-author nf ---------------------------------------------------
+
+void BM_CoreBlankAuthors(benchmark::State& state) {
+  Dictionary dict;
+  Sp2bSpec spec;
+  spec.target_triples = static_cast<uint64_t>(state.range(0));
+  spec.blank_author_fraction = static_cast<double>(state.range(1)) / 1000.0;
+  Sp2bGenerator gen(spec, &dict);
+  const Graph closure = RdfsClosure(gen.GenerateCorpus());
+  closure.WarmIndexes();
+  CoreStats stats;
+  size_t nf_size = 0;
+  for (auto _ : state) {
+    Result<Graph> nf =
+        CoreChecked(closure, MatchOptions(), /*witness=*/nullptr, &stats);
+    nf_size = nf->size();
+    benchmark::DoNotOptimize(nf);
+  }
+  state.counters["|cl|"] = static_cast<double>(closure.size());
+  state.counters["|nf|"] = static_cast<double>(nf_size);
+  state.counters["components"] =
+      static_cast<double>(BlankComponents(closure).size());
+  state.counters["folds"] = static_cast<double>(stats.folds);
+  state.counters["steps"] = static_cast<double>(stats.steps_used);
+}
+BENCHMARK(BM_CoreBlankAuthors)
+    ->Args({20000, 100})
+    ->Args({200000, 5})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace swdb

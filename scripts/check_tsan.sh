@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer in a separate build directory and
 # runs the concurrency-sensitive suites: the thread pool + parallel
-# matcher/closure tests, the parallel core/nf engine parity tests, the
-# Database snapshot stress tests (including racing normalized() readers
-# against the call_once core build, and readers answering through the
-# shared view cache while the writer delta-patches it), the
+# matcher/closure tests, the parallel core/nf engine parity tests and
+# in-place folding differential tests (folds applied between pooled
+# search rounds), the Database snapshot stress tests (including racing
+# normalized() readers against the call_once core build, and readers
+# answering through the shared view cache while the writer
+# delta-patches it), the
 # sharded-dictionary tests (concurrent interning, lock-free Name()
 # readers, fresh-blank races), the view-cache suite (parallel
 # union-query fan-out over the materialized view layer), the batch
@@ -29,8 +31,8 @@ export SWDB_THREADS="${SWDB_THREADS:-4}"
 
 cmake -B "$build_dir" -S "$repo_root" -DSWDB_SANITIZE=thread
 cmake --build "$build_dir" -j --target parallel_test concurrency_test \
-  core_parallel_test view_cache_test batch_test serving_test
+  core_parallel_test core_fold_test view_cache_test batch_test serving_test
 ctest --test-dir "$build_dir" --output-on-failure \
-  -R '^(parallel|concurrency|core_parallel|view_cache|batch|serving)_test$'
+  -R '^(parallel|concurrency|core_parallel|core_fold|view_cache|batch|serving)_test$'
 
 echo "tsan: concurrency suites passed (SWDB_THREADS=$SWDB_THREADS)"

@@ -1,11 +1,11 @@
 #include "normal/core.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "util/check.h"
@@ -13,7 +13,12 @@
 
 namespace swdb {
 
-std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
+namespace {
+
+// Groups `triples` (non-ground) by blank-connected component, in order
+// of first appearance, each component's triples in input order.
+std::vector<std::vector<Triple>> SplitByBlanks(
+    const std::vector<Triple>& triples) {
   std::unordered_map<Term, Term> parent;
   // Iterative root walk with full path compression: blank chains grow
   // with the data (a 10k-blank chain is ordinary input, not an
@@ -38,13 +43,12 @@ std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
     Term rb = find(b);
     if (ra != rb) parent[ra] = rb;
   };
-  for (const Triple& t : g) {
+  for (const Triple& t : triples) {
     if (t.s.IsBlank() && t.o.IsBlank()) unite(t.s, t.o);
   }
   std::unordered_map<Term, size_t> component_index;
   std::vector<std::vector<Triple>> components;
-  for (const Triple& t : g) {
-    if (t.IsGround()) continue;
+  for (const Triple& t : triples) {
     Term representative = find(t.s.IsBlank() ? t.s : t.o);
     auto [it, inserted] =
         component_index.try_emplace(representative, components.size());
@@ -52,6 +56,24 @@ std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
     components[it->second].push_back(t);
   }
   return components;
+}
+
+}  // namespace
+
+std::vector<std::vector<Triple>> BlankComponents(const Graph& g) {
+  // The non-ground triples in g's order: the blank-object run minus its
+  // blank-subject triples, sorted back into (s,p,o) order, merged with
+  // the blank-subject run. A ground graph costs two range probes.
+  std::vector<Triple> non_ground;
+  for (const Triple& t : g.BlankRange(2)) {
+    if (!t.s.IsBlank()) non_ground.push_back(t);
+  }
+  std::sort(non_ground.begin(), non_ground.end());
+  const size_t blank_objects = non_ground.size();
+  for (const Triple& t : g.BlankRange(0)) non_ground.push_back(t);
+  std::inplace_merge(non_ground.begin(), non_ground.begin() + blank_objects,
+                     non_ground.end());
+  return SplitByBlanks(non_ground);
 }
 
 namespace {
@@ -301,45 +323,94 @@ bool IsLean(const Graph& g, ThreadPool* pool) {
   return !r->has_value();
 }
 
+namespace {
+
+// One blank component of the graph CoreChecked is folding, and whether
+// this run has proven it lean.
+struct Component {
+  std::vector<Triple> triples;  // in graph order; front() is the least
+  bool lean = false;
+};
+
+// Applies `fold`, a fold of (*components)[w] = C, to *g in place. A fold
+// is the identity outside C and maps C into g, so h(g) = g \ (C \ h(C)):
+// only the triples of C outside its image are erased, each a leaf-local
+// COW patch. C's survivors are re-split (erasing triples can disconnect
+// C's blanks but never connect them to another component's) and the
+// pieces are re-inserted so the list stays ordered by first triple —
+// the order BlankComponents would return for the folded graph.
+void FoldInPlace(const TermMap& fold, size_t w,
+                 std::vector<Component>* components, Graph* g) {
+  std::vector<Triple> folded = std::move((*components)[w].triples);
+  components->erase(components->begin() + static_cast<ptrdiff_t>(w));
+  std::vector<Triple> image;
+  image.reserve(folded.size());
+  for (const Triple& t : folded) image.push_back(fold.Apply(t));
+  std::sort(image.begin(), image.end());
+  std::vector<Triple> survivors;
+  for (const Triple& t : folded) {
+    if (std::binary_search(image.begin(), image.end(), t)) {
+      survivors.push_back(t);
+    } else {
+      g->Erase(t);
+    }
+  }
+  for (std::vector<Triple>& piece : SplitByBlanks(survivors)) {
+    auto at = std::upper_bound(
+        components->begin(), components->end(), piece.front(),
+        [](const Triple& t, const Component& c) {
+          return t < c.triples.front();
+        });
+    components->insert(at, Component{std::move(piece), false});
+  }
+}
+
+}  // namespace
+
 Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
                           TermMap* witness, CoreStats* stats,
                           LeanCacheRef shared) {
   Graph current = g;
   TermMap composed;
   CoreStats local;
-  // Components proven lean in an earlier round stay lean: a fold is the
+  // The components are found once and maintained across folds. A
+  // component proven lean in an earlier round stays lean: a fold is the
   // identity outside its own component, so every other component's
   // triples survive verbatim, and the graph only ever shrinks — a
   // shrinking target can lose homomorphisms but never gain one. (Nor
   // can components merge: folds add no triples, so blanks never become
   // newly connected.) Only refutations the sequential engine would also
-  // have run are cached — never speculative parallel ones — so the
+  // have run are recorded — never speculative parallel ones — so the
   // folding sequence and the budget accounting stay worker-count-
   // invariant.
-  std::unordered_set<std::vector<Triple>, TripleVecHash> proven_lean;
+  std::vector<Component> components;
+  for (std::vector<Triple>& c : BlankComponents(current)) {
+    components.push_back(Component{std::move(c), false});
+  }
   for (;;) {
     ++local.iterations;
     // Only round 1 refutes against the full input graph; later rounds
     // run on folded remnants, whose refutations don't imply leanness in
     // anyone else's graph — they stay run-local.
     const bool first_round = local.iterations == 1;
-    std::vector<std::vector<Triple>> components = BlankComponents(current);
     std::vector<const std::vector<Triple>*> targets;
-    targets.reserve(components.size());
-    for (const std::vector<Triple>& c : components) {
-      if (proven_lean.count(c) != 0) {
+    std::vector<size_t> target_component;  // components index per target
+    for (size_t i = 0; i < components.size(); ++i) {
+      Component& c = components[i];
+      if (c.lean) {
         ++local.lean_cache_hits;
         continue;
       }
       if (shared.cache != nullptr &&
-          shared.cache->Lookup(c, shared.erase_stamp)) {
+          shared.cache->Lookup(c.triples, shared.erase_stamp)) {
         // Cross-epoch hit: some earlier run refuted this exact
         // component against a graph ours is a guarded subset of.
         ++local.lean_cache_cross_hits;
-        proven_lean.insert(c);
+        c.lean = true;
         continue;
       }
-      targets.push_back(&c);
+      targets.push_back(&c.triples);
+      target_component.push_back(i);
     }
     SearchOutcome out = SearchAllComponents(targets, current, options);
     local.steps_used += out.steps_used;
@@ -347,7 +418,7 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
     local.components_searched +=
         out.winner == kNoWinner ? targets.size() : out.winner + 1;
     for (size_t idx : out.refuted) {
-      proven_lean.insert(*targets[idx]);
+      components[target_component[idx]].lean = true;
       if (shared.cache != nullptr && first_round) {
         shared.cache->Insert(*targets[idx], shared.version);
       }
@@ -361,7 +432,8 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
     }
     ++local.folds;
     composed = composed.ComposeWith(*out.fold);
-    current = out.fold->Apply(current);
+    FoldInPlace(*out.fold, target_component[out.winner], &components,
+                &current);
   }
   if (witness != nullptr) *witness = composed;
   if (stats != nullptr) *stats = local;

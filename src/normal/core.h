@@ -25,7 +25,9 @@ class ThreadPool;
 /// Components are returned in a pinned deterministic order (first
 /// appearance in g's triple order) with each component's triples in g's
 /// order — the order every core/leanness engine in this file, parallel
-/// or not, commits to.
+/// or not, commits to. Only the blank-subject and blank-object runs of
+/// g are read (Graph::BlankRange; predicates are never blank in
+/// well-formed graphs), so a ground graph costs O(log |G|).
 std::vector<std::vector<Triple>> BlankComponents(const Graph& g);
 
 /// Counters for one Core/CoreChecked run. `steps_used` and every other
@@ -192,7 +194,9 @@ bool IsLean(const Graph& g, ThreadPool* pool = nullptr);
 /// to its core. If `witness` is non-null it receives the composed map μ
 /// with μ(g) = core(g). A non-null pool parallelizes each round's
 /// component searches; the result (graph, witness, folding sequence) is
-/// bit-identical to the sequential computation.
+/// bit-identical to the sequential computation. Folds are applied in
+/// place to a copy of g, so the result shares every spine leaf the folds
+/// did not touch with g (see DESIGN.md, in-place folding).
 /// A non-default `shared` ref consults (and feeds) a cross-epoch
 /// LeanCache; the resulting graph is bit-identical with or without it —
 /// cached components are lean, so skipping their searches changes no

@@ -313,6 +313,12 @@ Result<PathExpr> ParsePathExpr(std::string_view text, Dictionary* dict) {
 namespace {
 
 // One evaluation step: the image of `sources` under the path relation.
+// Cache-line aligned, like Spine::At, so the full-graph scan loops below
+// (the hottest read loops of path requests) keep the same instruction
+// alignment whatever code precedes them in the binary: left floating,
+// their speed moved by up to ~20% on the serving benchmark's read
+// workloads with unrelated code-size changes elsewhere in the library.
+__attribute__((aligned(64)))
 std::vector<Term> Step(const Graph& g, const PathExpr& path,
                        const std::vector<Term>& sources) {
   std::unordered_set<Term> out;

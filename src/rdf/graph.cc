@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 
 #include "rdf/scan.h"
 
@@ -390,6 +391,20 @@ SpineSharing Graph::SharedLeaves(const Graph& other) const {
     s.total += pso_.leaf_count() + pos_.leaf_count() + osp_.leaf_count();
   }
   return s;
+}
+
+MatchRange Graph::BlankRange(int pos) const {
+  assert(pos == 0 || pos == 2);
+  const Spine* ix = &spo_;
+  IndexOrder order = IndexOrder::kSpo;
+  if (pos == 2) {
+    EnsureIndexes();
+    ix = &osp_;
+    order = IndexOrder::kOsp;
+  }
+  const size_t lo = ix->LowerBound({Term::Blank(0).bits(), 0, 0});
+  const size_t hi = ix->LowerBound({Term::Var(0).bits(), 0, 0});
+  return MatchRange::Over(ix, lo, hi, order);
 }
 
 MatchRange Graph::Matches(std::optional<Term> s, std::optional<Term> p,

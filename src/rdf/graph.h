@@ -358,6 +358,12 @@ class Graph {
     return true;
   }
 
+  /// The contiguous range of triples holding a blank node at position
+  /// `pos`: 0 (subject, a run of the primary order) or 2 (object, a run
+  /// of the osp order). TermKind occupies a term's top two bits, so the
+  /// blanks are one run of leading keys in either order. O(log |G|).
+  MatchRange BlankRange(int pos) const;
+
   /// Number of triples matching the given pattern. O(log² |G|): the
   /// size of the resolved spine range, with no scan.
   size_t CountMatches(std::optional<Term> s, std::optional<Term> p,

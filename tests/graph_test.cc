@@ -157,6 +157,26 @@ TEST_F(GraphTest, MatchSurvivesMutationBetweenCalls) {
   EXPECT_EQ(g.CountMatches(std::nullopt, p_, std::nullopt), 1u);
 }
 
+TEST_F(GraphTest, BlankRangesHoldExactlyTheBlankPositions) {
+  Term v = dict_.Var("V");
+  Graph g{{a_, p_, b_}, {a_, p_, x_}, {x_, q_, y_}, {y_, p_, c_},
+          {b_, q_, y_}, {v, p_, x_}, {x_, p_, v}, {v, q_, c_}};
+  for (int pos : {0, 2}) {
+    std::vector<Triple> expected;
+    for (const Triple& t : g) {
+      if ((pos == 0 ? t.s : t.o).IsBlank()) expected.push_back(t);
+    }
+    MatchRange range = g.BlankRange(pos);
+    std::vector<Triple> got(range.begin(), range.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "position " << pos;
+  }
+  Graph ground{{a_, p_, b_}, {b_, q_, c_}};
+  EXPECT_TRUE(ground.BlankRange(0).empty());
+  EXPECT_TRUE(ground.BlankRange(2).empty());
+  EXPECT_TRUE(Graph().BlankRange(2).empty());
+}
+
 TEST_F(GraphTest, InsertAllIsSetUnion) {
   Graph g1{Triple(a_, p_, b_)};
   Graph g2{Triple(a_, p_, b_), Triple(b_, p_, c_)};
