@@ -313,6 +313,8 @@ void BM_CoreBlankAuthors(benchmark::State& state) {
   state.counters["components"] =
       static_cast<double>(BlankComponents(closure).size());
   state.counters["folds"] = static_cast<double>(stats.folds);
+  state.counters["enumerated"] =
+      static_cast<double>(stats.components_enumerated);
   state.counters["steps"] = static_cast<double>(stats.steps_used);
 }
 BENCHMARK(BM_CoreBlankAuthors)

@@ -904,8 +904,7 @@ IncrementalClosure& IncrementalClosure::operator=(
     IncrementalClosure&&) noexcept = default;
 
 void IncrementalClosure::InsertDelta(const Graph& delta,
-                                     ClosureDeltaStats* stats,
-                                     std::vector<Triple>* derived_out) {
+                                     ClosureDeltaStats* stats) {
   size_t fresh = 0;
   for (const Triple& t : delta) {
     if (!closure_.Contains(t)) ++fresh;
@@ -927,10 +926,6 @@ void IncrementalClosure::InsertDelta(const Graph& delta,
   // slices take the single-insert path (which patches the permutation
   // indexes in place), large ones the batched merge-and-rebuild.
   const std::vector<Triple>& wl = impl_->worklist();
-  if (derived_out != nullptr) {
-    derived_out->assign(wl.end() - static_cast<std::ptrdiff_t>(derived),
-                        wl.end());
-  }
   constexpr size_t kPatchThreshold = 16;
   if (derived <= kPatchThreshold) {
     for (size_t i = wl.size() - derived; i < wl.size(); ++i) {

@@ -134,12 +134,8 @@ class IncrementalClosure {
   uint64_t version() const { return version_; }
 
   /// Extends the closure by RDFS-cl(base ∪ delta) via semi-naive
-  /// propagation from the delta only. If `derived_out` is non-null it
-  /// receives every triple this step added to the closure (the delta's
-  /// new triples plus their derivations) — the invalidation cone
-  /// consumers like the cross-epoch lean cache key off.
-  void InsertDelta(const Graph& delta, ClosureDeltaStats* stats = nullptr,
-                   std::vector<Triple>* derived_out = nullptr);
+  /// propagation from the delta only.
+  void InsertDelta(const Graph& delta, ClosureDeltaStats* stats = nullptr);
 
   /// Removes `deleted` from the base (which is now `base_after`) and
   /// re-establishes closure() = RDFS-cl(base_after) via DRed.

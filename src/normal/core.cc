@@ -85,12 +85,30 @@ constexpr size_t kNoWinner = std::numeric_limits<size_t>::max();
 struct ComponentResult {
   std::optional<TermMap> fold;
   bool budget_hit = false;
-  uint64_t steps = 0;  // matcher steps across this component's probes
+  bool enumerated = false;  // decided lean by the single-blank enumeration
+  uint64_t steps = 0;  // matcher steps across this component's searches
 };
+
+// The blank node of a component that has exactly one, or nullopt.
+std::optional<Term> SoleBlank(const std::vector<Triple>& component) {
+  std::optional<Term> blank;
+  for (const Triple& t : component) {
+    for (Term x : {t.s, t.p, t.o}) {
+      if (!x.IsBlank()) continue;
+      if (blank.has_value() && *blank != x) return std::nullopt;
+      blank = x;
+    }
+  }
+  return blank;
+}
 
 // Searches one component for a fold: a map component → g \ {t} for some
 // triple t of the component, probing the triples in order and returning
-// at the first fold. Each probe carries its own options.max_steps
+// at the first fold. A single-blank component is first decided by one
+// enumeration into g (see FindProperEndomorphism): if no solution moves
+// its blank b it is lean, and the probes run only when one does or the
+// enumeration hit its budget — so the fold found is always the probes'
+// own. The enumeration and each probe carry their own options.max_steps
 // budget — identical to the sequential engine, and independent of what
 // any concurrently searched component consumes, which is what makes
 // budget exhaustion worker-count-invariant. `first_found`, when
@@ -104,8 +122,21 @@ ComponentResult SearchComponent(const std::vector<Triple>& component,
   ComponentResult out;
   options.pool = nullptr;   // the component search is the unit of fan-out
   options.stats = nullptr;  // a multi-probe driver; see header
+  options.exclude_triple.reset();  // the enumeration maps into all of g
   PatternMatcher matcher(component, &g, options);
   if (first_found != nullptr) matcher.set_cancellation(first_found, index);
+  if (const std::optional<Term> b = SoleBlank(component)) {
+    bool moved = false;
+    const Status s = matcher.Enumerate([&moved, b](const TermMap& m) {
+      moved = m.Apply(*b) != *b;
+      return !moved;
+    });
+    out.steps += matcher.steps_used();
+    if (s.ok() && !moved) {
+      out.enumerated = true;
+      return out;
+    }
+  }
   for (const Triple& t : component) {
     if (first_found != nullptr &&
         first_found->load(std::memory_order_relaxed) < index) {
@@ -142,6 +173,7 @@ struct SearchOutcome {
   // Components below the winner refuted completely within budget — the
   // exact set the sequential engine proves lean this round.
   std::vector<size_t> refuted;
+  uint64_t enumerated = 0;         // refuted by the single-blank fast path
   uint64_t steps_used = 0;         // deterministic: pre-winner + winner
   uint64_t steps_speculative = 0;  // parallel-only post-winner probing
 };
@@ -201,6 +233,7 @@ SearchOutcome SearchAllComponents(
         out.budget_hit = true;
       } else {
         out.refuted.push_back(c);
+        out.enumerated += r.enumerated ? 1 : 0;
       }
     } else if (c == out.winner) {
       out.steps_used += r.steps;
@@ -212,92 +245,7 @@ SearchOutcome SearchAllComponents(
   return out;
 }
 
-// One-sided unification: can some map (blanks of `pattern` free, ground
-// terms fixed) send `pattern` onto `target`? The insert-eviction test:
-// a new fold of a cached component must map one of its triples onto a
-// newly derived triple, which requires exactly this.
-bool UnifiesOnto(const Triple& pattern, const Triple& target) {
-  auto pos_ok = [](Term pat, Term tgt) {
-    return pat.IsBlank() || pat == tgt;
-  };
-  return pos_ok(pattern.s, target.s) && pos_ok(pattern.p, target.p) &&
-         pos_ok(pattern.o, target.o);
-}
-
 }  // namespace
-
-// --- LeanCache -------------------------------------------------------
-
-bool LeanCache::Lookup(const std::vector<Triple>& component,
-                       uint64_t consumer_erase_stamp) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(component);
-  if (it == entries_.end() || it->second > consumer_erase_stamp) {
-    ++counters_.misses;
-    return false;
-  }
-  ++counters_.cross_hits;
-  return true;
-}
-
-void LeanCache::Insert(const std::vector<Triple>& component,
-                       uint64_t prover_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (prover_version != version_) {
-    // The prover refuted against an older closure; newer inserts were
-    // never checked against this entry — drop it.
-    ++counters_.stale_rejects;
-    return;
-  }
-  entries_.emplace(component, erase_stamp_);
-  ++counters_.writes;
-}
-
-void LeanCache::OnInsertDelta(const std::vector<Triple>& derived,
-                              uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  version_ = new_version;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool endangered = false;
-    for (const Triple& c : it->first) {
-      for (const Triple& d : derived) {
-        if (UnifiesOnto(c, d)) {
-          endangered = true;
-          break;
-        }
-      }
-      if (endangered) break;
-    }
-    if (endangered) {
-      it = entries_.erase(it);
-      ++counters_.evictions;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void LeanCache::OnEraseDelta(uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  version_ = new_version;
-  ++erase_stamp_;
-}
-
-void LeanCache::Clear(uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  version_ = new_version;
-  ++erase_stamp_;  // fence off consumers published before the clear
-  ++counters_.clears;
-}
-
-LeanCacheStats LeanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LeanCacheStats s = counters_;
-  s.entries = entries_.size();
-  s.erase_stamp = erase_stamp_;
-  return s;
-}
 
 Result<std::optional<TermMap>> FindProperEndomorphism(const Graph& g,
                                                       MatchOptions options) {
@@ -368,8 +316,7 @@ void FoldInPlace(const TermMap& fold, size_t w,
 }  // namespace
 
 Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
-                          TermMap* witness, CoreStats* stats,
-                          LeanCacheRef shared) {
+                          TermMap* witness, CoreStats* stats) {
   Graph current = g;
   TermMap composed;
   CoreStats local;
@@ -389,24 +336,12 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
   }
   for (;;) {
     ++local.iterations;
-    // Only round 1 refutes against the full input graph; later rounds
-    // run on folded remnants, whose refutations don't imply leanness in
-    // anyone else's graph — they stay run-local.
-    const bool first_round = local.iterations == 1;
     std::vector<const std::vector<Triple>*> targets;
     std::vector<size_t> target_component;  // components index per target
     for (size_t i = 0; i < components.size(); ++i) {
-      Component& c = components[i];
+      const Component& c = components[i];
       if (c.lean) {
         ++local.lean_cache_hits;
-        continue;
-      }
-      if (shared.cache != nullptr &&
-          shared.cache->Lookup(c.triples, shared.erase_stamp)) {
-        // Cross-epoch hit: some earlier run refuted this exact
-        // component against a graph ours is a guarded subset of.
-        ++local.lean_cache_cross_hits;
-        c.lean = true;
         continue;
       }
       targets.push_back(&c.triples);
@@ -415,13 +350,11 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
     SearchOutcome out = SearchAllComponents(targets, current, options);
     local.steps_used += out.steps_used;
     local.steps_speculative += out.steps_speculative;
+    local.components_enumerated += out.enumerated;
     local.components_searched +=
         out.winner == kNoWinner ? targets.size() : out.winner + 1;
     for (size_t idx : out.refuted) {
       components[target_component[idx]].lean = true;
-      if (shared.cache != nullptr && first_round) {
-        shared.cache->Insert(*targets[idx], shared.version);
-      }
     }
     if (!out.fold.has_value()) {
       if (out.budget_hit) {
@@ -440,12 +373,10 @@ Result<Graph> CoreChecked(const Graph& g, MatchOptions options,
   return current;
 }
 
-Graph Core(const Graph& g, TermMap* witness, ThreadPool* pool,
-           LeanCacheRef shared) {
+Graph Core(const Graph& g, TermMap* witness, ThreadPool* pool) {
   MatchOptions options;
   options.pool = pool;
-  Result<Graph> r = CoreChecked(g, options, witness, /*stats=*/nullptr,
-                                shared);
+  Result<Graph> r = CoreChecked(g, options, witness);
   SWDB_CHECK(r.ok(),
              "core step budget exhausted; use CoreChecked for graceful "
              "degradation");

@@ -112,7 +112,6 @@ void Database::InsertGraph(const Graph& g) {
     // slower than one batched refixpoint on next use.
     closure_.reset();
     normalized_.reset();
-    lean_cache_.Clear(0);  // next full build re-seeds the version
     // The closure incarnation (and its version counter) is gone; the
     // view cache's Clear bumps its fence stamp so counter reuse by the
     // next incarnation can never revalidate an old consumer.
@@ -172,16 +171,10 @@ Database::ApplyResult Database::Apply(const MutationBatch& batch) {
 void Database::MaintainInsert(const Graph& delta) {
   if (!closure_.has_value()) return;  // not materialized yet: stay lazy
   ClosureDeltaStats ds;
-  std::vector<Triple> derived;
-  closure_->InsertDelta(delta, &ds, &derived);
+  closure_->InsertDelta(delta, &ds);
   closure_epoch_ = data_.epoch();
   ++stats_.closure_delta_updates;
   stats_.closure_delta_derived += ds.derived;
-  // New closure triples can enable folds of cached lean components:
-  // evict every entry one of them could extend (see LeanCache).
-  if (!derived.empty()) {
-    lean_cache_.OnInsertDelta(derived, closure_->version());
-  }
 }
 
 void Database::MaintainErase(const Graph& deleted) {
@@ -193,15 +186,9 @@ void Database::MaintainErase(const Graph& deleted) {
   ++stats_.closure_erase_updates;
   stats_.closure_overdeleted += ds.overdeleted;
   stats_.closure_rederived += ds.rederived;
-  // Cached refutations survive erases (leanness transfers to subsets),
-  // but lagging snapshots must not consume post-erase entries — bump
-  // the fence stamp.
-  if (closure_->version() != version_before) {
-    lean_cache_.OnEraseDelta(closure_->version());
-    // Views are patched by the nf delta on the next Maintain; the stamp
-    // bump only fences pre-erase snapshots out of post-erase entries.
-    view_cache_.OnErase();
-  }
+  // Views are patched by the nf delta on the next Maintain; the stamp
+  // bump only fences pre-erase snapshots out of post-erase entries.
+  if (closure_->version() != version_before) view_cache_.OnErase();
 }
 
 DatabaseStats Database::CollectStats() const {
@@ -209,7 +196,6 @@ DatabaseStats Database::CollectStats() const {
   out.data_graph = data_.Stats();
   if (closure_.has_value()) out.closure_graph = closure_->closure().Stats();
   out.dictionary = dict_->Stats();
-  out.lean_cache = lean_cache_.stats();
   out.views = view_cache_.stats();
   return out;
 }
@@ -218,7 +204,6 @@ const Graph& Database::Closure() {
   if (!closure_.has_value()) {
     closure_.emplace(data_);
     closure_epoch_ = data_.epoch();
-    lean_cache_.Clear(closure_->version());  // fresh closure incarnation
     view_cache_.Clear();
     ++stats_.closure_full_builds;
   } else {
@@ -236,9 +221,7 @@ const Graph& Database::Normalized() {
     ++stats_.nf_cache_hits;
     return *normalized_;
   }
-  normalized_ = Core(cl, /*witness=*/nullptr, CorePool(options_),
-                     LeanCacheRef{&lean_cache_, closure_->version(),
-                                  lean_cache_.stats().erase_stamp});
+  normalized_ = Core(cl, /*witness=*/nullptr, CorePool(options_));
   nf_version_ = closure_->version();
   ++stats_.nf_rebuilds;
   return *normalized_;
@@ -515,11 +498,9 @@ void Database::PublishSnapshotLocked() {
   // Readers share these const graphs; every access is const-clean.
   data->WarmIndexes();
   cl->WarmIndexes();
-  const LeanCacheStats lc = lean_cache_.stats();
   std::shared_ptr<const DatabaseSnapshot> snap(new DatabaseSnapshot(
       data_.epoch(), std::move(data), std::move(cl), &evaluator_, options_,
       CorePool(options_), &stats_,
-      LeanCacheRef{&lean_cache_, closure_->version(), lc.erase_stamp},
       ViewCacheRef{options_.views.enabled ? &view_cache_ : nullptr,
                    closure_->version(), view_cache_.erase_stamp()}));
   std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
@@ -547,8 +528,7 @@ void Database::PublishSnapshotLocked() {
 const Graph& DatabaseSnapshot::normalized() const {
   if (options_.use_closure_only) return *closure_;
   std::call_once(normalized_once_, [this] {
-    normalized_.emplace(
-        Core(*closure_, /*witness=*/nullptr, pool_, lean_cache_));
+    normalized_.emplace(Core(*closure_, /*witness=*/nullptr, pool_));
     normalized_->WarmIndexes();
     ++stats_->snapshot_nf_builds;
   });

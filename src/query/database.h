@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "inference/closure.h"
-#include "normal/core.h"
 #include "query/answer.h"
 #include "query/batch.h"
 #include "query/query.h"
@@ -71,9 +70,15 @@ struct DatabaseStats {
   /// Interning observability (shard load, per-kind counts); plain
   /// snapshot filled by CollectStats.
   DictionaryStats dictionary;
-  /// Cross-epoch proven-lean cache counters; plain snapshot filled by
-  /// CollectStats.
-  LeanCacheStats lean_cache;
+  /// Always zero. These counted a cross-epoch proven-lean component
+  /// cache, which the single-blank enumeration in the core engine left
+  /// with nothing to save (see DESIGN.md); the fields stay only because
+  /// the repository benchmark reads them (perfbench/src/main.cc and
+  /// perfbench/src/bench.cc). Drop them with its next change.
+  struct LeanCacheCounters {
+    uint64_t cross_hits = 0;
+    uint64_t misses = 0;
+  } lean_cache;
   /// Materialized pre-answer view layer counters (hits, misses, patches,
   /// invalidations, advisor promotions); plain snapshot filled by
   /// CollectStats.
@@ -238,7 +243,7 @@ class DatabaseSnapshot {
                    std::shared_ptr<const Graph> closure,
                    QueryEvaluator* evaluator, EvalOptions options,
                    ThreadPool* pool, DatabaseStats* stats,
-                   LeanCacheRef lean_cache, ViewCacheRef views)
+                   ViewCacheRef views)
       : epoch_(epoch),
         data_(std::move(data)),
         closure_(std::move(closure)),
@@ -246,7 +251,6 @@ class DatabaseSnapshot {
         options_(options),
         pool_(pool),
         stats_(stats),
-        lean_cache_(lean_cache),
         views_(views) {}
 
   uint64_t epoch_;
@@ -256,11 +260,6 @@ class DatabaseSnapshot {
   EvalOptions options_;
   ThreadPool* pool_;       // runs the lazy core build; owned elsewhere
   DatabaseStats* stats_;   // the owning Database's counters
-  // The owning Database's cross-epoch lean cache, with this snapshot's
-  // closure version + erase stamp captured at publication. The lazy
-  // normalized() build consults it and offers its refutations back
-  // (the cache's write rule drops them if the writer has moved on).
-  LeanCacheRef lean_cache_;
   // The owning Database's view cache, addressed at this snapshot's
   // (closure version, erase stamp); null cache when the view layer is
   // disabled.
@@ -426,15 +425,10 @@ class Database {
   uint64_t nf_version_ = 0;
   std::optional<ClosureMembership> membership_;
 
-  // Cross-epoch proven-lean component cache (see LeanCache): fed and
-  // consumed by the writer's Normalized() and by every snapshot's lazy
-  // normalized() build; invalidated here on closure maintenance.
-  LeanCache lean_cache_;
-
   // Materialized pre-answer views (see ViewCache): consulted by the
   // writer's PreAnswer and by every snapshot's, delta-patched against
   // each new nf, fully cleared whenever the closure incarnation is
-  // dropped (bulk resets), and erase-fenced in step with lean_cache_.
+  // dropped (bulk resets), and erase-fenced by every closure erase.
   ViewCache view_cache_;
 
   // Concurrent read path: mutators hold write_mu_ end to end and, once

@@ -6,10 +6,18 @@
 // composed witness — must agree exactly. The engine must also give the
 // same result and CoreStats at every worker count. This binary is part
 // of the TSan job (scripts/check_tsan.sh).
+//
+// The referee above runs the engine's own component search, so every
+// core is also checked by an independent leanness referee written here
+// from the bare matcher: for each blank component and each of its
+// triples t, the component must not map into core \ {t}. A wrong
+// "lean" from the single-blank fast path would otherwise pass on both
+// sides.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +26,7 @@
 #include "inference/closure.h"
 #include "normal/core.h"
 #include "rdf/graph.h"
+#include "rdf/hom.h"
 #include "rdf/map.h"
 #include "testutil.h"
 #include "util/str.h"
@@ -48,16 +57,39 @@ RefereeCore FoldByRebuild(const Graph& g) {
   return out;
 }
 
+// The independent leanness referee: true iff no blank component of g
+// maps into g minus one of its own triples, probed triple by triple
+// with a plain PatternMatcher (never the engine's component search).
+bool NoComponentFolds(const Graph& g, const std::string& label) {
+  bool lean = true;
+  for (const std::vector<Triple>& component : BlankComponents(g)) {
+    PatternMatcher matcher(component, &g);
+    for (const Triple& t : component) {
+      matcher.set_exclude_triple(t);
+      Result<std::optional<TermMap>> fold = matcher.FindAny();
+      EXPECT_TRUE(fold.ok()) << label;
+      if (fold.ok() && fold->has_value()) {
+        ADD_FAILURE() << label << ": a component of the core folds";
+        lean = false;
+        break;
+      }
+    }
+  }
+  return lean;
+}
+
 // Checks CoreChecked on `g` against the referee, sequentially and on
-// pools of 0, 1 and 4 workers. Returns the sequential fold count.
-uint64_t ExpectMatchesReferee(const Graph& g, const std::string& label) {
+// pools of 0, 1 and 4 workers, and the core it returns against the
+// independent leanness referee. Returns the sequential CoreStats.
+CoreStats ExpectMatchesReferee(const Graph& g, const std::string& label) {
   const RefereeCore ref = FoldByRebuild(g);
 
   TermMap witness;
   CoreStats stats;
   Result<Graph> core = CoreChecked(g, MatchOptions(), &witness, &stats);
   EXPECT_TRUE(core.ok()) << label;
-  if (!core.ok()) return 0;
+  if (!core.ok()) return stats;
+  EXPECT_TRUE(NoComponentFolds(*core, label));
   EXPECT_EQ(core->triples(), ref.core.triples()) << label;
   EXPECT_EQ(stats.folds, ref.folds) << label;
   EXPECT_EQ(witness, ref.witness) << label;
@@ -81,8 +113,10 @@ uint64_t ExpectMatchesReferee(const Graph& g, const std::string& label) {
         << at;
     EXPECT_EQ(par_stats.steps_used, stats.steps_used) << at;
     EXPECT_EQ(par_stats.lean_cache_hits, stats.lean_cache_hits) << at;
+    EXPECT_EQ(par_stats.components_enumerated, stats.components_enumerated)
+        << at;
   }
-  return stats.folds;
+  return stats;
 }
 
 TEST(CoreFold, MatchesRebuildRefereeOnSp2bClosures) {
@@ -95,10 +129,13 @@ TEST(CoreFold, MatchesRebuildRefereeOnSp2bClosures) {
       spec.blank_author_fraction = blank_fraction;
       Sp2bGenerator gen(spec, &dict);
       const Graph closure = RdfsClosure(gen.GenerateCorpus());
-      const uint64_t folds = ExpectMatchesReferee(
+      const CoreStats stats = ExpectMatchesReferee(
           closure, "fraction " + std::to_string(blank_fraction) + " seed " +
                        std::to_string(seed));
-      EXPECT_GT(folds, 0u) << "the corpus should exercise folding";
+      EXPECT_GT(stats.folds, 0u) << "the corpus should exercise folding";
+      // Blank authors are single-blank components; the lean ones are
+      // decided by one enumeration each.
+      EXPECT_GT(stats.components_enumerated, 0u);
     }
   }
 }
@@ -113,7 +150,7 @@ TEST(CoreFold, FoldIntoAnotherComponent) {
                  "a p _:U .\n"
                  "_:U q _:V .\n"
                  "_:V r b .");
-  EXPECT_EQ(ExpectMatchesReferee(g, "into another component"), 1u);
+  EXPECT_EQ(ExpectMatchesReferee(g, "into another component").folds, 1u);
   EXPECT_EQ(Core(g), Data(&dict,
                           "a p _:U .\n"
                           "_:U q _:V .\n"
@@ -139,7 +176,7 @@ TEST(CoreFold, ComponentSplitsAfterItsFold) {
                  "z s _:Y1 .\n"
                  "z s _:Y2 .");
   EXPECT_EQ(BlankComponents(g).size(), 4u);
-  EXPECT_EQ(ExpectMatchesReferee(g, "split"), 3u);
+  EXPECT_EQ(ExpectMatchesReferee(g, "split").folds, 3u);
   Graph core = Core(g);
   EXPECT_EQ(BlankComponents(core).size(), 3u);
   EXPECT_EQ(core, Data(&dict,
@@ -171,7 +208,7 @@ TEST(CoreFold, SplitPiecesKeepRebuildOrder) {
                  "_:R q b .\n"
                  "m p _:T .\n"
                  "_:T q b .");
-  EXPECT_EQ(ExpectMatchesReferee(g, "twins"), 2u);
+  EXPECT_EQ(ExpectMatchesReferee(g, "twins").folds, 2u);
   EXPECT_EQ(Core(g), Data(&dict,
                           "k r m .\n"
                           "_:L p m .\n"
@@ -187,6 +224,108 @@ TEST(CoreFold, BlankChainFoldsOntoGroundLoop) {
   g.Insert(dict.Iri("a"), p, dict.Iri("a"));
   ExpectMatchesReferee(g, "chain");
   EXPECT_EQ(Core(g), Data(&dict, "a p a ."));
+}
+
+// A planted shape: CoreChecked, checked against both referees, must
+// fold `folds` times, decide `enumerated` components by the single-blank
+// enumeration, and return `core_text`.
+void ExpectPlantedCore(const std::string& text, const std::string& core_text,
+                       uint64_t folds, uint64_t enumerated) {
+  Dictionary dict;
+  const Graph g = Data(&dict, text);
+  const CoreStats stats = ExpectMatchesReferee(g, text);
+  EXPECT_EQ(stats.folds, folds) << text;
+  EXPECT_EQ(stats.components_enumerated, enumerated) << text;
+  EXPECT_EQ(Core(g), Data(&dict, core_text)) << text;
+}
+
+TEST(CoreFold, SingleBlankSelfLoop) {
+  // _:b p _:b maps only onto a ground self-loop.
+  ExpectPlantedCore(
+      "_:b p _:b .\n"
+      "_:b q c .\n"
+      "a p b .",
+      "_:b p _:b .\n"
+      "_:b q c .\n"
+      "a p b .",
+      /*folds=*/0, /*enumerated=*/1);
+  ExpectPlantedCore(
+      "_:b p _:b .\n"
+      "_:b q c .\n"
+      "x p x .\n"
+      "x q c .",
+      "x p x .\n"
+      "x q c .",
+      /*folds=*/1, /*enumerated=*/0);
+}
+
+TEST(CoreFold, SingleBlankInObjectPositionOnly) {
+  ExpectPlantedCore(
+      "a p _:b .\n"
+      "c q _:b .\n"
+      "a p d .\n"
+      "c q e .",
+      "a p _:b .\n"
+      "c q _:b .\n"
+      "a p d .\n"
+      "c q e .",
+      /*folds=*/0, /*enumerated=*/1);
+  ExpectPlantedCore(
+      "a p _:b .\n"
+      "c q _:b .\n"
+      "a p d .\n"
+      "c q d .",
+      "a p d .\n"
+      "c q d .",
+      /*folds=*/1, /*enumerated=*/0);
+}
+
+TEST(CoreFold, SingleBlankWithGroundTwinFolds) {
+  ExpectPlantedCore(
+      "_:b type Person .\n"
+      "_:b name n .\n"
+      "e type Person .\n"
+      "e name n .",
+      "e type Person .\n"
+      "e name n .",
+      /*folds=*/1, /*enumerated=*/0);
+}
+
+TEST(CoreFold, TwoIdenticalBlankAuthorsExactlyOneFolds) {
+  // The first author's enumeration finds the second and falls back to
+  // the probes, which fold it away; the survivor is then decided lean
+  // by one enumeration.
+  Dictionary dict;
+  const Graph g = Data(&dict,
+                       "_:b1 type Person .\n"
+                       "_:b1 name n .\n"
+                       "_:b2 type Person .\n"
+                       "_:b2 name n .");
+  const CoreStats stats = ExpectMatchesReferee(g, "twin authors");
+  EXPECT_EQ(stats.folds, 1u);
+  EXPECT_EQ(stats.components_enumerated, 1u);
+  const Graph core = Core(g);
+  EXPECT_EQ(core.size(), 2u);
+  EXPECT_EQ(BlankComponents(core).size(), 1u);
+}
+
+TEST(CoreFold, SingleBlankCandidateFailsOnItsLastTriple) {
+  // x matches _:b on p and q but not on r: the only other candidate
+  // dies on the component's last triple, so _:b is lean.
+  ExpectPlantedCore(
+      "_:b p a .\n"
+      "_:b q c .\n"
+      "_:b r d .\n"
+      "x p a .\n"
+      "x q c .\n"
+      "x r e .",
+      "_:b p a .\n"
+      "_:b q c .\n"
+      "_:b r d .\n"
+      "x p a .\n"
+      "x q c .\n"
+      "x r e .",
+      /*folds=*/0, /*enumerated=*/1);
 }
 
 TEST(CoreFold, FoldsShareEveryUntouchedLeaf) {

@@ -81,6 +81,8 @@ TEST(CoreParallel, BitIdenticalAcrossWorkerCounts) {
           << "seed " << seed << " workers " << workers;
       EXPECT_EQ(stats.lean_cache_hits, seq_stats.lean_cache_hits)
           << "seed " << seed << " workers " << workers;
+      EXPECT_EQ(stats.components_enumerated, seq_stats.components_enumerated)
+          << "seed " << seed << " workers " << workers;
     }
   }
 }
@@ -123,6 +125,8 @@ TEST(CoreParallel, BudgetExhaustionParity) {
             << "seed " << seed << " budget " << budget << " workers "
             << workers;
         EXPECT_EQ(stats.components_searched, seq_stats.components_searched);
+        EXPECT_EQ(stats.components_enumerated,
+                  seq_stats.components_enumerated);
       }
     }
   }
